@@ -56,22 +56,14 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    pre-JVM-launch). The per-session configs that *are* honoured
+    post-launch (shuffle partitions, Arrow, no broadcast joins, UTC) are
+    those of :func:`repro.runner.get_spark`, so tests, jobs and
+    benchmarks run the same session config.
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    from repro.runner import get_spark
+
+    s = get_spark("repro")
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(
@@ -83,3 +75,11 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture(scope="session")
+def spark_utc(spark: SparkSession) -> SparkSession:
+    """The session SparkSession; :func:`repro.runner.get_spark` pins it to
+    UTC so window/bucket semantics match DuckDB's naive timestamps in
+    oracle checks."""
+    return spark

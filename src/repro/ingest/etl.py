@@ -14,7 +14,7 @@ backfill mode.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.lorawan.mqtt import MESSAGE_SCHEMA
@@ -47,6 +47,23 @@ VALID_RANGE = {
 }
 
 
+def _envelope() -> list[Column]:
+    """Envelope columns shared by data points and uplinks.
+
+    Malformed envelopes give NULLs instead of failing the batch: an
+    unparseable ``metadata.time`` gives a NULL ``ts``, an empty
+    ``gateways`` array a NULL ``best_gateway``.
+    """
+    return [
+        F.col("dev_id").alias("sensor_id"),
+        F.col("city"),
+        F.try_to_timestamp("metadata.time", F.lit("yyyy-MM-dd'T'HH:mm:ss'Z'")).alias("ts"),
+        F.col("counter").alias("f_cnt"),
+        F.size("metadata.gateways").alias("n_gateways"),
+        F.get("metadata.gateways", 0)["gtw_id"].alias("best_gateway"),
+    ]
+
+
 def parse_messages(raw: DataFrame) -> DataFrame:
     """TTN/MQTT envelope → long data points.
 
@@ -56,13 +73,8 @@ def parse_messages(raw: DataFrame) -> DataFrame:
     """
     stack_expr = ", ".join(f"'{c}', payload_fields.{c}" for c in PAYLOAD_COLS)
     flat = raw.select(
-        F.col("dev_id").alias("sensor_id"),
-        F.col("city"),
-        F.to_timestamp("metadata.time", "yyyy-MM-dd'T'HH:mm:ss'Z'").alias("ts"),
-        F.col("counter").alias("f_cnt"),
-        F.size("metadata.gateways").alias("n_gateways"),
-        F.col("metadata.gateways")[0]["gtw_id"].alias("best_gateway"),
-        F.col("metadata.gateways")[0]["rssi"].alias("best_rssi"),
+        *_envelope(),
+        F.get("metadata.gateways", 0)["rssi"].alias("best_rssi"),
         F.expr(f"stack({len(PAYLOAD_COLS)}, {stack_expr}) as (field, value)"),
     )
     metric_map = F.create_map(
@@ -74,8 +86,9 @@ def parse_messages(raw: DataFrame) -> DataFrame:
 def validate(points: DataFrame) -> DataFrame:
     """Flag each data point ``valid`` against :data:`VALID_RANGE`.
 
-    Null values and out-of-range values are invalid; the row is kept so
-    quarantine accounting sees it.
+    Null values, out-of-range values and points with no ``sensor_id``
+    or ``ts`` are invalid; the row is kept so quarantine accounting
+    sees it.
     """
     lo_map = F.create_map(
         *[x for k, (lo, _) in VALID_RANGE.items() for x in (F.lit(k), F.lit(lo))]
@@ -85,7 +98,9 @@ def validate(points: DataFrame) -> DataFrame:
     )
     return points.withColumn(
         "valid",
-        F.col("value").isNotNull()
+        F.col("sensor_id").isNotNull()
+        & F.col("ts").isNotNull()
+        & F.col("value").isNotNull()
         & (F.col("value") >= lo_map[F.col("field")])
         & (F.col("value") <= hi_map[F.col("field")]),
     )
@@ -110,15 +125,9 @@ def read_landing_batch(spark: SparkSession, landing_dir: str) -> DataFrame:
 
 def uplinks_batch(spark: SparkSession, landing_dir: str) -> DataFrame:
     """One row per uplink message (pre-explosion) — dataport input shape."""
-    raw = read_landing_batch(spark, landing_dir)
-    return raw.select(
-        F.col("dev_id").alias("sensor_id"),
-        "city",
-        F.to_timestamp("metadata.time", "yyyy-MM-dd'T'HH:mm:ss'Z'").alias("ts"),
-        F.col("counter").alias("f_cnt"),
+    return read_landing_batch(spark, landing_dir).select(
+        *_envelope(),
         F.col("metadata.gateways").alias("gateways"),
-        F.col("metadata.gateways")[0]["gtw_id"].alias("best_gateway"),
-        F.size("metadata.gateways").alias("n_gateways"),
         F.col("payload_fields.battery").alias("battery"),
         F.col("payload_fields.interval_min").alias("interval_min"),
     )

@@ -27,7 +27,6 @@ import json
 import os
 
 import pandas as pd
-from pyspark.sql import DataFrame
 from pyspark.sql.types import (
     ArrayType, DoubleType, IntegerType, StringType, StructField, StructType,
 )
@@ -86,25 +85,17 @@ def _message(row: dict) -> dict:
     }
 
 
-def land_messages(uplinks: DataFrame | pd.DataFrame, out_dir: str) -> int:
+def land_messages(uplinks: pd.DataFrame, out_dir: str) -> int:
     """Write TTN-deduplicated uplinks as hourly JSON-lines files.
 
-    ``uplinks`` is the output of :func:`repro.lorawan.network.ttn_dedup`
-    (Spark) or an equivalent pandas frame whose ``gateways`` column
-    holds lists of ``{"gtw_id", "rssi"}`` dicts. Returns the number of
-    messages written. Files are named ``msgs-YYYYMMDDHH.jsonl`` so
-    arrival order matches event time, as a bridge would produce.
+    ``uplinks`` is the output of :func:`repro.lorawan.network.ttn_dedup`,
+    whose ``gateways`` column holds lists of ``{"gtw_id", "rssi"}``
+    dicts. Returns the number of messages written. Files are named
+    ``msgs-YYYYMMDDHH.jsonl`` so arrival order matches event time, as a
+    bridge would produce.
     """
-    pdf = uplinks.toPandas() if isinstance(uplinks, DataFrame) else uplinks.copy()
-    if pdf.empty:
-        os.makedirs(out_dir, exist_ok=True)
-        return 0
-    # Spark Rows inside the gateways array arrive as Row objects.
-    pdf["gateways"] = pdf["gateways"].map(
-        lambda gs: [g if isinstance(g, dict) else g.asDict() for g in gs]
-    )
     os.makedirs(out_dir, exist_ok=True)
-    pdf = pdf.sort_values(["ts", "dev_id" if "dev_id" in pdf else "sensor_id"])
+    pdf = uplinks.sort_values(["ts", "sensor_id"])
     pdf["_hour"] = pd.DatetimeIndex(pdf["ts"]).strftime("%Y%m%d%H")
     n = 0
     for hour, grp in pdf.groupby("_hour", sort=True):

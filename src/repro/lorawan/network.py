@@ -4,10 +4,10 @@ Every transmitted reading becomes a LoRaWAN uplink that each same-city
 gateway independently attempts to receive (:mod:`repro.lorawan.radio`).
 A packet heard by zero gateways is *lost* — the "usual issues of
 missing data" (§2.2). The Things Network backend deduplicates
-multi-gateway receptions into one uplink message carrying the list of
-receiving gateways as metadata (§2.3: "Incoming data contains meta-data
-that identifies the originating sensor and the gateway from which it
-was received").
+multi-gateway receptions, before the MQTT bridge, into one uplink
+message carrying the list of receiving gateways as metadata (§2.3:
+"Incoming data contains meta-data that identifies the originating
+sensor and the gateway from which it was received").
 
 Gateway outages (:class:`repro.iot.faults.GatewayOutage`) suppress all
 receptions at that gateway inside the outage window.
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
-from pyspark.sql import functions as F
 
 from repro.iot import deployment
 from repro.iot.faults import GatewayOutage
@@ -80,39 +78,30 @@ def receptions_pdf(
     return out.sort_values(["ts", "sensor_id", "gateway_id"]).reset_index(drop=True)
 
 
-def receptions(spark: SparkSession, readings: pd.DataFrame, **kw) -> DataFrame:
-    """Spark view of :func:`receptions_pdf`."""
-    return spark.createDataFrame(receptions_pdf(readings, **kw))
-
-
-def ttn_dedup(receptions_df: DataFrame) -> DataFrame:
-    """TTN-backend deduplication as a Spark transformation.
+def ttn_dedup(receptions: pd.DataFrame) -> pd.DataFrame:
+    """TTN-backend deduplication, before the MQTT bridge.
 
     Collapses per-gateway receptions of the same uplink — keyed by
     (sensor_id, f_cnt) — into one message: the payload from the
-    best-RSSI reception plus ``gateways`` (array of structs with
-    gateway_id/rssi, strongest first) and ``n_gateways``.
+    best-RSSI reception (ties broken by ascending gateway_id) plus
+    ``gateways`` (list of ``{"gtw_id", "rssi"}`` dicts, strongest first)
+    and ``n_gateways``.
     """
-    w = Window.partitionBy("sensor_id", "f_cnt").orderBy(
-        F.desc("rssi"), F.asc("gateway_id")
+    ranked = receptions.sort_values(
+        ["sensor_id", "f_cnt", "rssi", "gateway_id"],
+        ascending=[True, True, False, True],
+        kind="stable",
     )
-    gw_struct = F.struct(
-        F.col("gateway_id").alias("gtw_id"), F.col("rssi").alias("rssi")
-    )
-    ranked = receptions_df.withColumn("_rank", F.row_number().over(w))
-    agg = (
-        ranked.groupBy("sensor_id", "f_cnt")
-        .agg(
-            F.sort_array(
-                F.collect_list(F.struct(F.col("_rank"), gw_struct.alias("g")))
-            ).alias("_sorted"),
-            F.count(F.lit(1)).alias("n_gateways"),
-        )
-        .withColumn("gateways", F.col("_sorted.g"))
-        .drop("_sorted")
-    )
-    best = ranked.filter(F.col("_rank") == 1).drop("_rank", "gateway_id", "rssi")
-    return best.join(agg, ["sensor_id", "f_cnt"], "inner")
+    first = ~ranked.duplicated(["sensor_id", "f_cnt"]).to_numpy()
+    bounds = np.append(np.flatnonzero(first), len(ranked))
+    heard = [
+        {"gtw_id": g, "rssi": r}
+        for g, r in zip(ranked["gateway_id"].tolist(), ranked["rssi"].tolist())
+    ]
+    out = ranked[first].drop(columns=["gateway_id", "rssi"]).reset_index(drop=True)
+    out["n_gateways"] = np.diff(bounds)
+    out["gateways"] = [heard[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    return out
 
 
 def loss_accounting(

@@ -1,11 +1,13 @@
 """Shared plumbing for jobs and benchmarks.
 
 ``build_world`` materialises the full §2.1 data flow at a scale factor:
-simulate the deployment, transport packets over the LoRaWAN model, land
-TTN/MQTT messages, run the Structured Streaming ingestion into the
+simulate the deployment, transport packets over the LoRaWAN model and
+deduplicate them as the TTN backend does (pandas, before any Spark),
+land TTN/MQTT messages, run the Structured Streaming ingestion into the
 TSDB, and return handles to every stage. Jobs (spark-submit
-entrypoints) and benchmarks share this code so the numbers in
-EXPERIMENTS.md come from exactly the pipeline the tests verify.
+entrypoints), benchmarks and the test fixtures share this code so the
+numbers in EXPERIMENTS.md come from exactly the pipeline the tests
+verify.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import os
 import tempfile
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from repro.ingest import etl, stream
 from repro.iot import deployment, faults, sensor
@@ -21,7 +23,7 @@ from repro.lorawan import mqtt, network
 
 
 def get_spark(app: str) -> SparkSession:
-    """Session for spark-submit jobs (tests use the conftest fixture)."""
+    """The one session config shared by jobs, benchmarks and tests."""
     s = (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
@@ -65,9 +67,8 @@ def build_world(
         flist, outages = [], []
     readings = sensor.simulate_readings_pdf(sf=sf, seed=seed, faults=flist)
     receptions = network.receptions_pdf(readings, outages=outages, seed=seed)
-    dedup = network.ttn_dedup(spark.createDataFrame(receptions))
     landing = os.path.join(work_dir, "landing")
-    n_landed = mqtt.land_messages(dedup, landing)
+    n_landed = mqtt.land_messages(network.ttn_dedup(receptions), landing)
     w = World(
         sf=sf,
         seed=seed,

@@ -1,4 +1,6 @@
 """Parse + validate transformations, with DuckDB oracle checks."""
+import json
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -6,6 +8,33 @@ from pyspark.sql import functions as F
 from repro.ingest import etl
 from repro.lorawan.network import PAYLOAD_COLS
 from repro.oracle import assert_equivalent
+
+
+#: In-range payload: every point of a well-formed message is accepted.
+GOOD_PAYLOAD = {
+    "co2": 420.0, "no2": 20.0, "pm10": 10.0, "pm25": 5.0, "temperature": 5.0,
+    "pressure": 1010.0, "humidity": 80.0, "battery": 90.0, "interval_min": 5.0,
+}
+
+
+def _validated(spark, *, dev_id="X-00", time="2017-01-01T00:00:00Z",
+               gateways=None, **payload):
+    """One hand-built landing message, parsed and validated."""
+    msg = {
+        "app_id": "ctt",
+        "dev_id": dev_id,
+        "counter": 0,
+        "city": "trondheim",
+        "metadata": {
+            "time": time,
+            "gateways": [{"gtw_id": "gw-tr-0", "rssi": -100.0}] if gateways is None else gateways,
+        },
+        "payload_fields": {**GOOD_PAYLOAD, **payload},
+    }
+    raw = spark.createDataFrame([json.dumps(msg)], "string").select(
+        F.from_json("value", etl.MESSAGE_SCHEMA).alias("m")
+    ).select("m.*")
+    return etl.validate(etl.parse_messages(raw))
 
 
 @pytest.fixture(scope="module")
@@ -86,34 +115,37 @@ class TestValidate:
         assert pts.columns == ["metric", "ts", "value", "sensor_id", "city"]
 
     def test_out_of_range_value_quarantined(self, spark_utc):
-        import json
-
-        msg = {
-            "app_id": "ctt",
-            "dev_id": "X-00",
-            "counter": 0,
-            "city": "trondheim",
-            "metadata": {
-                "time": "2017-01-01T00:00:00Z",
-                "gateways": [{"gtw_id": "gw-tr-0", "rssi": -100.0}],
-            },
-            "payload_fields": {
-                **{c: 50.0 for c in PAYLOAD_COLS},
-                "co2": 99999.0,  # out of range
-                "humidity": None,  # null
-            },
-        }
-        df = spark_utc.createDataFrame(
-            [json.dumps(msg)], "string"
-        ).select(F.from_json("value", etl.MESSAGE_SCHEMA).alias("m")).select("m.*")
-        v = etl.validate(etl.parse_messages(df))
+        v = _validated(spark_utc, co2=99999.0, humidity=None, temperature=50.0)
         bad = {r["field"] for r in etl.quarantined_points(v).collect()}
-        assert "co2" in bad and "humidity" in bad
+        assert "co2" in bad and "humidity" in bad  # out of range, null
         assert "temperature" not in bad  # 50.0 °C is the boundary: valid
 
     def test_world_quarantine_is_small(self, world, validated):
         frac = world.quarantined.count() / validated.count()
         assert frac < 0.02  # humidity clipping tail only
+
+
+class TestMalformedEnvelope:
+    """One bad message never fails the batch, and all 9 of its points
+    are either accepted or quarantined."""
+
+    def test_unparseable_time_quarantined(self, spark_utc):
+        v = _validated(spark_utc, time="2017-01-01 garbage")
+        assert etl.accepted_points(v).count() == 0
+        assert etl.quarantined_points(v).count() == len(PAYLOAD_COLS)
+
+    def test_empty_gateways_accounted(self, spark_utc):
+        v = _validated(spark_utc, gateways=[])
+        rows = v.collect()
+        assert len(rows) == len(PAYLOAD_COLS)
+        assert all(r["n_gateways"] == 0 and r["best_gateway"] is None for r in rows)
+        n_ok, n_bad = etl.accepted_points(v).count(), etl.quarantined_points(v).count()
+        assert n_ok + n_bad == len(PAYLOAD_COLS)
+
+    def test_null_sensor_quarantined(self, spark_utc):
+        v = _validated(spark_utc, dev_id=None)
+        assert etl.accepted_points(v).count() == 0
+        assert etl.quarantined_points(v).count() == len(PAYLOAD_COLS)
 
 
 class TestUplinksBatch:

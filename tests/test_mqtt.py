@@ -48,18 +48,9 @@ class TestLanding:
                     "T", ""
                 ).startswith(hour[:8] + hour[8:])
 
-    def test_empty_input_creates_dir(self, tmp_path, spark_utc, world):
-        empty = world.receptions_pdf.iloc[0:0]
+    def test_empty_input_creates_dir(self, tmp_path, world):
         out = str(tmp_path / "empty_landing")
-        n = mqtt.land_messages(
-            ttn_dedup(
-                spark_utc.createDataFrame(
-                    empty,
-                    schema=spark_utc.createDataFrame(world.receptions_pdf).schema,
-                )
-            ),
-            out,
-        )
+        n = mqtt.land_messages(ttn_dedup(world.receptions_pdf.iloc[0:0]), out)
         assert n == 0
         assert os.path.isdir(out)
 

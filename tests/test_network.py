@@ -1,7 +1,6 @@
 """Packet transport: receptions, TTN dedup, loss accounting."""
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.iot import deployment as dep
 from repro.lorawan import network
@@ -49,23 +48,20 @@ class TestReceptions:
 
 
 class TestTTNDedup:
-    def test_one_row_per_uplink(self, spark_utc, world):
-        dedup = network.ttn_dedup(spark_utc.createDataFrame(world.receptions_pdf))
-        assert (
-            dedup.groupBy("sensor_id", "f_cnt").count().filter("count > 1").count()
-            == 0
-        )
+    @pytest.fixture(scope="class")
+    def dedup(self, world):
+        return network.ttn_dedup(world.receptions_pdf)
 
-    def test_keeps_best_rssi(self, spark_utc, world):
-        dedup = network.ttn_dedup(spark_utc.createDataFrame(world.receptions_pdf))
-        row = dedup.filter("n_gateways >= 2").first()
-        rssis = [g["rssi"] for g in row["gateways"]]
-        assert rssis == sorted(rssis, reverse=True)
+    def test_one_row_per_uplink(self, dedup):
+        assert not dedup.duplicated(["sensor_id", "f_cnt"]).any()
 
-    def test_count_matches_distinct_uplinks_oracle(self, spark_utc, world):
-        rec = world.receptions_pdf[["sensor_id", "f_cnt", "city"]]
-        dedup = network.ttn_dedup(spark_utc.createDataFrame(world.receptions_pdf))
-        got = dedup.groupBy("city").agg(F.count(F.lit(1)).alias("uplinks"))
+    def test_keeps_best_rssi(self, dedup):
+        for gws in dedup.loc[dedup["n_gateways"] >= 2, "gateways"]:
+            rssis = [g["rssi"] for g in gws]
+            assert rssis == sorted(rssis, reverse=True)
+
+    def test_count_matches_distinct_uplinks_oracle(self, dedup, world):
+        got = dedup.groupby("city").size().rename("uplinks").reset_index()
         assert_equivalent(
             got,
             """
@@ -73,24 +69,63 @@ class TestTTNDedup:
               SELECT DISTINCT city, sensor_id, f_cnt FROM rec
             ) GROUP BY city
             """,
-            rec=rec,
+            rec=world.receptions_pdf[["sensor_id", "f_cnt", "city"]],
         )
 
-    def test_n_gateways_matches_reception_rows_oracle(self, spark_utc, world):
-        dedup = network.ttn_dedup(spark_utc.createDataFrame(world.receptions_pdf))
-        got = dedup.groupBy("sensor_id").agg(
-            F.sum("n_gateways").alias("gw_receptions")
-        )
+    def test_n_gateways_matches_reception_rows_oracle(self, dedup, world):
+        got = dedup.groupby("sensor_id")["n_gateways"].sum().rename("gw_receptions")
         assert_equivalent(
-            got,
+            got.reset_index(),
             "SELECT sensor_id, count(*) AS gw_receptions FROM rec GROUP BY sensor_id",
             rec=world.receptions_pdf[["sensor_id", "f_cnt"]],
         )
 
-    def test_payload_preserved(self, spark_utc, world):
-        dedup = network.ttn_dedup(
-            spark_utc.createDataFrame(world.receptions_pdf)
-        ).toPandas()
+    def test_best_reception_oracle(self, dedup, world):
+        # The best reception's full row, the receiving-gateway count and
+        # the strongest-first gateway order, against a DuckDB window.
+        got = dedup.drop(columns="gateways").assign(
+            gateway_id=[gws[0]["gtw_id"] for gws in dedup["gateways"]],
+            rssi=[gws[0]["rssi"] for gws in dedup["gateways"]],
+            gw_order=["|".join(g["gtw_id"] for g in gws) for gws in dedup["gateways"]],
+        )
+        cols = ", ".join(world.receptions_pdf.columns)
+        assert_equivalent(
+            got,
+            f"""
+            WITH ranked AS (
+              SELECT *, row_number() OVER (PARTITION BY sensor_id, f_cnt
+                                           ORDER BY rssi DESC, gateway_id) AS rn
+              FROM rec
+            ), per_uplink AS (
+              SELECT sensor_id, f_cnt, count(*) AS n_gateways,
+                     string_agg(gateway_id, '|' ORDER BY rn) AS gw_order
+              FROM ranked GROUP BY sensor_id, f_cnt
+            )
+            SELECT {cols}, n_gateways, gw_order
+            FROM ranked JOIN per_uplink USING (sensor_id, f_cnt) WHERE rn = 1
+            """,
+            rec=world.receptions_pdf,
+        )
+
+    def test_equal_rssi_breaks_ties_by_gateway_id(self, world):
+        uplink = world.receptions_pdf.iloc[[0]].drop(columns=["gateway_id", "rssi"])
+        rec = pd.concat(
+            [
+                uplink.assign(gateway_id=g, rssi=r)
+                for g, r in (("gw-c", -90.0), ("gw-b", -110.0), ("gw-a", -90.0))
+            ],
+            ignore_index=True,
+        )
+        out = network.ttn_dedup(rec)
+        assert len(out) == 1
+        assert out["n_gateways"].iloc[0] == 3
+        assert out["gateways"].iloc[0] == [
+            {"gtw_id": "gw-a", "rssi": -90.0},
+            {"gtw_id": "gw-c", "rssi": -90.0},
+            {"gtw_id": "gw-b", "rssi": -110.0},
+        ]
+
+    def test_payload_preserved(self, dedup, world):
         merged = dedup.merge(
             world.readings_pdf, on=["sensor_id", "f_cnt"], suffixes=("", "_orig")
         )
