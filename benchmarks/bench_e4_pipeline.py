@@ -31,6 +31,6 @@ def test_bench_e4_batch_parse(benchmark, spark_utc, bench_world):
 
     def job():
         raw = etl.read_landing_batch(spark_utc, bench_world.landing_dir)
-        return etl.accepted_points(etl.validate(etl.parse_messages(raw))).count()
+        return etl.accepted_points(etl.validate(etl.explode_points(etl.parse_uplinks(raw)))).count()
 
     benchmark.pedantic(job, rounds=3, iterations=1, warmup_rounds=1)

@@ -1,24 +1,26 @@
-"""Parse + validate transformations shared by the streaming and batch
-ingestion paths.
+"""Parse + validate transformations and the sink shared by the
+streaming and batch ingestion paths.
 
-An MQTT message (see :mod:`repro.lorawan.mqtt`) is exploded into *long*
-data points — one row per (sensor, timestamp, metric) — validated
-against physical plausibility ranges, and split into accepted points
-(written to the TSDB) and quarantined points (kept for the quality
-analyses; §2.2 "a complex set of related uncertainties and inaccuracies
-in the data").
+An MQTT message (see :mod:`repro.lorawan.mqtt`) is parsed once into an
+uplink row (:func:`parse_uplinks`, the dataport's input), which is
+exploded into *long* data points — one row per (sensor, timestamp,
+metric) — validated against physical plausibility ranges, and split
+into accepted points (written to the TSDB) and quarantined points (kept
+for the quality analyses; §2.2 "a complex set of related uncertainties
+and inaccuracies in the data").
 
-All functions are DataFrame→DataFrame so the exact same Catalyst plan
-runs inside ``foreachBatch`` in streaming mode and directly in batch
-backfill mode.
+:func:`sink` is the one write path: the streaming ingest calls it inside
+``foreachBatch``, a batch backfill calls it on a batch read of the
+landing zone, so both run the exact same Catalyst plan.
 """
 from __future__ import annotations
 
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.lorawan.mqtt import MESSAGE_SCHEMA
 from repro.lorawan.network import PAYLOAD_COLS
+from repro.tsdb import store
 
 #: payload field → TSDB metric name.
 METRIC_NAME = {
@@ -47,34 +49,39 @@ VALID_RANGE = {
 }
 
 
-def _envelope() -> list[Column]:
-    """Envelope columns shared by data points and uplinks.
+def parse_uplinks(raw: DataFrame) -> DataFrame:
+    """TTN/MQTT envelope → one row per uplink message, the one parse.
 
-    Malformed envelopes give NULLs instead of failing the batch: an
-    unparseable ``metadata.time`` gives a NULL ``ts``, an empty
-    ``gateways`` array a NULL ``best_gateway``.
+    Input rows follow :data:`repro.lorawan.mqtt.MESSAGE_SCHEMA`. Output:
+    sensor_id, city, ts, f_cnt, n_gateways, best_gateway, gateways and
+    every payload field of :data:`repro.lorawan.network.PAYLOAD_COLS`
+    as its own column. Malformed envelopes give NULLs instead of
+    failing the batch: an unparseable ``metadata.time`` gives a NULL
+    ``ts``, an empty ``gateways`` array a NULL ``best_gateway``.
     """
-    return [
+    return raw.select(
         F.col("dev_id").alias("sensor_id"),
         F.col("city"),
         F.try_to_timestamp("metadata.time", F.lit("yyyy-MM-dd'T'HH:mm:ss'Z'")).alias("ts"),
         F.col("counter").alias("f_cnt"),
         F.size("metadata.gateways").alias("n_gateways"),
         F.get("metadata.gateways", 0)["gtw_id"].alias("best_gateway"),
-    ]
+        F.col("metadata.gateways").alias("gateways"),
+        "payload_fields.*",
+    )
 
 
-def parse_messages(raw: DataFrame) -> DataFrame:
-    """TTN/MQTT envelope → long data points.
+def explode_points(uplinks: DataFrame) -> DataFrame:
+    """Uplinks (:func:`parse_uplinks`) → long data points.
 
-    Input rows follow :data:`repro.lorawan.mqtt.MESSAGE_SCHEMA`. Output:
-    sensor_id, city, ts, f_cnt, n_gateways, best_gateway, best_rssi,
-    metric field name (``field``), TSDB ``metric`` name, ``value``.
+    Output: sensor_id, city, ts, f_cnt, n_gateways, best_gateway,
+    best_rssi, payload field name (``field``), ``value``, TSDB
+    ``metric`` name.
     """
-    stack_expr = ", ".join(f"'{c}', payload_fields.{c}" for c in PAYLOAD_COLS)
-    flat = raw.select(
-        *_envelope(),
-        F.get("metadata.gateways", 0)["rssi"].alias("best_rssi"),
+    stack_expr = ", ".join(f"'{c}', {c}" for c in PAYLOAD_COLS)
+    flat = uplinks.select(
+        "sensor_id", "city", "ts", "f_cnt", "n_gateways", "best_gateway",
+        F.get("gateways", 0)["rssi"].alias("best_rssi"),
         F.expr(f"stack({len(PAYLOAD_COLS)}, {stack_expr}) as (field, value)"),
     )
     metric_map = F.create_map(
@@ -108,9 +115,7 @@ def validate(points: DataFrame) -> DataFrame:
 
 def accepted_points(validated: DataFrame) -> DataFrame:
     """Valid points in TSDB shape (metric, ts, value, sensor_id, city)."""
-    return validated.filter(F.col("valid")).select(
-        "metric", "ts", "value", "sensor_id", "city"
-    )
+    return validated.filter(F.col("valid")).select(*store.POINT_COLUMNS)
 
 
 def quarantined_points(validated: DataFrame) -> DataFrame:
@@ -123,27 +128,15 @@ def read_landing_batch(spark: SparkSession, landing_dir: str) -> DataFrame:
     return spark.read.schema(MESSAGE_SCHEMA).json(landing_dir)
 
 
-def uplinks_batch(spark: SparkSession, landing_dir: str) -> DataFrame:
-    """One row per uplink message (pre-explosion) — dataport input shape."""
-    return read_landing_batch(spark, landing_dir).select(
-        *_envelope(),
-        F.col("metadata.gateways").alias("gateways"),
-        F.col("payload_fields.battery").alias("battery"),
-        F.col("payload_fields.interval_min").alias("interval_min"),
-    )
+def sink(raw: DataFrame, tsdb_root: str, quarantine_dir: str) -> None:
+    """Landed messages → TSDB: the one sink of streaming and batch ingest.
 
-
-def ingest_batch(spark: SparkSession, landing_dir: str, tsdb_root: str) -> dict:
-    """Batch backfill: landing zone → TSDB. Returns accounting counts."""
-    from repro.tsdb import store
-
-    validated = validate(parse_messages(read_landing_batch(spark, landing_dir)))
-    validated = validated.cache()
+    Accepted points append to the store at ``tsdb_root``, invalid
+    points to the Parquet directory ``quarantine_dir``.
+    """
+    validated = validate(explode_points(parse_uplinks(raw))).cache()
     try:
-        ok = accepted_points(validated)
-        store.write(ok, tsdb_root)
-        n_ok = ok.count()
-        n_bad = quarantined_points(validated).count()
+        store.write(accepted_points(validated), tsdb_root)
+        quarantined_points(validated).write.mode("append").parquet(quarantine_dir)
     finally:
         validated.unpersist()
-    return {"accepted": n_ok, "quarantined": n_bad}

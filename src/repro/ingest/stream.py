@@ -8,10 +8,9 @@ Spark Structured Streaming job:
 
 * **source** — file stream over the landing directory with the fixed
   TTN message schema (the offline stand-in for an MQTT subscription);
-* **transform** — the exact batch transformations from
-  :mod:`repro.ingest.etl` applied inside ``foreachBatch`` so streaming
-  and backfill share one Catalyst plan;
-* **sink** — append into the Parquet TSDB, with quarantined points
+* **transform + sink** — :func:`repro.ingest.etl.sink` applied inside
+  ``foreachBatch``, so streaming and backfill share one parse and one
+  Catalyst plan: append into the Parquet TSDB, with quarantined points
   written next to it for the quality analyses;
 * **windowed aggregation** — a second streaming query maintains the
   watermarked 1-hour per-sensor aggregates that feed the real-time
@@ -31,17 +30,19 @@ from pyspark.sql.streaming import StreamingQuery
 
 from repro.ingest import etl
 from repro.lorawan.mqtt import MESSAGE_SCHEMA
-from repro.tsdb import store
 
 
-def read_stream(
-    spark: SparkSession, landing_dir: str, *, max_files_per_trigger: int | None = None
-) -> DataFrame:
+#: Event-time bucket and lateness bound of the live aggregate.
+LIVE_WINDOW = "1 hour"
+LIVE_WATERMARK = "2 hours"
+
+#: How long a caller waits for an ``availableNow`` query to finish.
+QUERY_TIMEOUT_S = 600
+
+
+def read_stream(spark: SparkSession, landing_dir: str) -> DataFrame:
     """Streaming source over the MQTT landing zone."""
-    reader = spark.readStream.schema(MESSAGE_SCHEMA)
-    if max_files_per_trigger is not None:
-        reader = reader.option("maxFilesPerTrigger", max_files_per_trigger)
-    return reader.json(landing_dir)
+    return spark.readStream.schema(MESSAGE_SCHEMA).json(landing_dir)
 
 
 def start_ingest(
@@ -50,28 +51,20 @@ def start_ingest(
     tsdb_root: str,
     checkpoint_dir: str,
     *,
-    quarantine_dir: str | None = None,
+    quarantine_dir: str,
     available_now: bool = True,
 ) -> StreamingQuery:
     """Start the ingest query; caller awaits termination.
 
-    Each micro-batch is parsed, validated, and split: accepted points
-    append to the TSDB, invalid points to ``quarantine_dir``.
+    Each micro-batch goes through :func:`repro.ingest.etl.sink`:
+    accepted points append to the TSDB, invalid points to
+    ``quarantine_dir``.
     """
-    quarantine_dir = quarantine_dir or os.path.join(tsdb_root + "_quarantine")
-
-    def _sink(batch: DataFrame, batch_id: int) -> None:
-        validated = etl.validate(etl.parse_messages(batch)).cache()
-        try:
-            store.write(etl.accepted_points(validated), tsdb_root)
-            bad = etl.quarantined_points(validated)
-            bad.write.mode("append").parquet(quarantine_dir)
-        finally:
-            validated.unpersist()
-
     writer = (
         read_stream(spark, landing_dir)
-        .writeStream.foreachBatch(_sink)
+        .writeStream.foreachBatch(
+            lambda batch, _batch_id: etl.sink(batch, tsdb_root, quarantine_dir)
+        )
         .option("checkpointLocation", checkpoint_dir)
     )
     if available_now:
@@ -85,8 +78,6 @@ def start_live_aggregate(
     out_dir: str,
     checkpoint_dir: str,
     *,
-    window: str = "1 hour",
-    watermark: str = "2 hours",
     available_now: bool = True,
 ) -> StreamingQuery:
     """Watermarked streaming aggregation feeding the live dashboard.
@@ -95,12 +86,12 @@ def start_live_aggregate(
     mode — the incremental counterpart of
     :func:`repro.tsdb.query.downsample` that a dashboard polls.
     """
-    points = etl.validate(
-        etl.parse_messages(read_stream(spark, landing_dir))
-    ).filter(F.col("valid"))
+    points = etl.accepted_points(
+        etl.validate(etl.explode_points(etl.parse_uplinks(read_stream(spark, landing_dir))))
+    )
     agg = (
-        points.withWatermark("ts", watermark)
-        .groupBy(F.window("ts", window).alias("w"), "sensor_id", "city", "metric")
+        points.withWatermark("ts", LIVE_WATERMARK)
+        .groupBy(F.window("ts", LIVE_WINDOW).alias("w"), "sensor_id", "city", "metric")
         .agg(
             F.avg("value").alias("value_avg"),
             F.min("value").alias("value_min"),
@@ -129,13 +120,7 @@ def start_live_aggregate(
     return writer.start()
 
 
-def run_pipeline(
-    spark: SparkSession,
-    landing_dir: str,
-    work_dir: str,
-    *,
-    timeout_s: int = 600,
-) -> dict:
+def run_pipeline(spark: SparkSession, landing_dir: str, work_dir: str) -> dict:
     """Run both streaming queries to completion (availableNow).
 
     Returns paths: tsdb_root, quarantine_dir, live_agg_dir.
@@ -151,7 +136,7 @@ def run_pipeline(
         spark, landing_dir, live_agg, os.path.join(work_dir, "ckpt_agg")
     )
     for q in (q1, q2):
-        if not q.awaitTermination(timeout_s):
+        if not q.awaitTermination(QUERY_TIMEOUT_S):
             q.stop()
             raise TimeoutError("streaming query did not finish in time")
     return {

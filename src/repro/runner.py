@@ -54,8 +54,9 @@ def build_world(
     """Simulate + transport + land + ingest one deployment at ``sf``.
 
     Returns a :class:`World` with: readings_pdf, receptions_pdf,
-    fault/outage lists, landing_dir, n_landed, uplinks (DataFrame),
-    points (DataFrame, validated TSDB shape), quarantined, and — when
+    fault/outage lists, landing_dir, n_landed, uplinks (DataFrame, the
+    one parse of the landing zone), points (DataFrame, validated TSDB
+    shape) and quarantined, both exploded from uplinks, and — when
     ``run_streaming`` — tsdb_root / live_agg_dir written by the
     Structured Streaming pipeline.
     """
@@ -80,12 +81,11 @@ def build_world(
         receptions_pdf=receptions,
         landing_dir=landing,
         n_landed=n_landed,
+        uplinks=etl.parse_uplinks(etl.read_landing_batch(spark, landing)),
     )
-    raw = etl.read_landing_batch(spark, landing)
-    validated = etl.validate(etl.parse_messages(raw))
+    validated = etl.validate(etl.explode_points(w.uplinks))
     w["points"] = etl.accepted_points(validated)
     w["quarantined"] = etl.quarantined_points(validated)
-    w["uplinks"] = etl.uplinks_batch(spark, landing)
     if run_streaming:
         res = stream.run_pipeline(spark, landing, os.path.join(work_dir, "stream"))
         w.update(res)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 from pyspark.sql import SparkSession
 
+from repro.ingest import stream
 from repro.runner import World, build_world
 
 TEST_SF = 0.008
@@ -24,9 +25,10 @@ def _cached_world(spark: SparkSession, work_dir: str, *, with_faults: bool) -> W
         spark, sf=TEST_SF, seed=SEED, with_faults=with_faults,
         work_dir=work_dir, run_streaming=False,
     )
-    for key in ("points", "quarantined", "uplinks"):
+    # uplinks first: points and quarantined explode from it, so one JSON read.
+    for key in ("uplinks", "points", "quarantined"):
         w[key] = w[key].cache()
-    w.points.count(), w.uplinks.count()  # materialise caches once
+    w.uplinks.count(), w.points.count()  # materialise caches once
     return w
 
 
@@ -42,6 +44,13 @@ def clean_world(spark_utc: SparkSession, tmp_path_factory) -> World:
     return _cached_world(
         spark_utc, str(tmp_path_factory.mktemp("clean_world")), with_faults=False
     )
+
+
+@pytest.fixture(scope="session")
+def piperes(spark_utc: SparkSession, world: World, tmp_path_factory) -> dict:
+    """Both streaming queries over ``world``'s landing zone, run once per session."""
+    work = str(tmp_path_factory.mktemp("stream_work"))
+    return stream.run_pipeline(spark_utc, world.landing_dir, work)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Parse + validate transformations, with DuckDB oracle checks."""
 import json
+import shutil
 
 import pandas as pd
 import pytest
@@ -8,6 +9,7 @@ from pyspark.sql import functions as F
 from repro.ingest import etl
 from repro.lorawan.network import PAYLOAD_COLS
 from repro.oracle import assert_equivalent
+from repro.runner import build_world
 
 
 #: In-range payload: every point of a well-formed message is accepted.
@@ -34,22 +36,29 @@ def _validated(spark, *, dev_id="X-00", time="2017-01-01T00:00:00Z",
     raw = spark.createDataFrame([json.dumps(msg)], "string").select(
         F.from_json("value", etl.MESSAGE_SCHEMA).alias("m")
     ).select("m.*")
-    return etl.validate(etl.parse_messages(raw))
+    return etl.validate(etl.explode_points(etl.parse_uplinks(raw)))
 
 
 @pytest.fixture(scope="module")
-def raw(spark_utc, world):
-    return etl.read_landing_batch(spark_utc, world.landing_dir).cache()
-
-
-@pytest.fixture(scope="module")
-def validated(raw):
-    return etl.validate(etl.parse_messages(raw)).cache()
+def validated(world):
+    return etl.validate(etl.explode_points(world.uplinks)).cache()
 
 
 class TestParse:
-    def test_explosion_factor(self, raw, validated, world):
-        assert validated.count() == raw.count() * len(PAYLOAD_COLS)
+    def test_explosion_factor(self, validated, world):
+        assert validated.count() == world.n_landed * len(PAYLOAD_COLS)
+
+    def test_points_need_no_second_landing_read(self, spark_utc, tmp_path):
+        """Points and quarantined derive from the parsed uplinks, so a
+        world whose uplinks are cached no longer needs its landing zone."""
+        w = build_world(
+            spark_utc, sf=0.001, seed=0, with_faults=False,
+            work_dir=str(tmp_path), run_streaming=False,
+        )
+        w.uplinks.cache().count()
+        shutil.rmtree(w.landing_dir)
+        assert w.points.count() + w.quarantined.count() == w.n_landed * len(PAYLOAD_COLS)
+        w.uplinks.unpersist()
 
     def test_metric_names(self, validated):
         metrics = {r["metric"] for r in validated.select("metric").distinct().collect()}
@@ -149,9 +158,10 @@ class TestMalformedEnvelope:
 
 
 class TestUplinksBatch:
-    def test_one_row_per_message(self, spark_utc, world, raw):
-        up = etl.uplinks_batch(spark_utc, world.landing_dir)
-        assert up.count() == raw.count()
+    def test_one_row_per_message(self, world):
+        up = world.uplinks
+        assert up.count() == world.n_landed
+        assert up.select("sensor_id", "f_cnt").distinct().count() == world.n_landed
 
     def test_battery_and_interval_extracted(self, world):
         row = world.uplinks.first()
@@ -161,8 +171,14 @@ class TestUplinksBatch:
 
 class TestIngestBatch:
     def test_counts_and_store(self, spark_utc, world, tmp_path):
-        root = str(tmp_path / "tsdb")
-        counts = etl.ingest_batch(spark_utc, world.landing_dir, root)
-        assert counts["accepted"] > 0
-        stored = spark_utc.read.parquet(root)
-        assert stored.count() == counts["accepted"]
+        root, quarantine = str(tmp_path / "tsdb"), str(tmp_path / "quarantine")
+        etl.sink(etl.read_landing_batch(spark_utc, world.landing_dir), root, quarantine)
+        accepted = world.points.count()
+        assert accepted > 0
+        assert spark_utc.read.parquet(root).count() == accepted
+        quarantined = spark_utc.read.parquet(quarantine)
+        assert quarantined.count() == world.quarantined.count()
+        assert quarantined.columns == [
+            "sensor_id", "city", "ts", "f_cnt", "n_gateways", "best_gateway",
+            "best_rssi", "field", "value", "metric", "valid",
+        ]

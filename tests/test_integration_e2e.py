@@ -8,18 +8,14 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core import dashboard, harmonize
-from repro.ingest import stream
 from repro.iot import deployment as dep
 from repro.lorawan.network import PAYLOAD_COLS
 from repro.tsdb import query, store
 
 
 @pytest.fixture(scope="module")
-def flow(spark_utc, world, tmp_path_factory):
-    work = str(tmp_path_factory.mktemp("e2e"))
-    res = stream.run_pipeline(spark_utc, world.landing_dir, work)
-    res["points"] = spark_utc.read.parquet(res["tsdb_root"]).cache()
-    return res
+def flow(spark_utc, piperes):
+    return {**piperes, "points": spark_utc.read.parquet(piperes["tsdb_root"]).cache()}
 
 
 class TestCompletenessChain:

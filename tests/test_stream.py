@@ -1,17 +1,11 @@
 """Structured Streaming ingestion: streaming == batch, live aggregates."""
 import os
 
-import pytest
 from pyspark.sql import functions as F
 
-from repro.ingest import etl, stream
+from repro.ingest import stream
 from repro.oracle import assert_equivalent
-
-
-@pytest.fixture(scope="module")
-def piperes(spark_utc, world, tmp_path_factory):
-    work = str(tmp_path_factory.mktemp("stream_work"))
-    return stream.run_pipeline(spark_utc, world.landing_dir, work)
+from repro.tsdb import store
 
 
 class TestStreamingIngest:
@@ -20,16 +14,11 @@ class TestStreamingIngest:
         assert pts.count() > 0
 
     def test_streaming_equals_batch(self, spark_utc, world, piperes):
-        streamed = spark_utc.read.parquet(piperes["tsdb_root"])
-        batch = etl.accepted_points(
-            etl.validate(
-                etl.parse_messages(etl.read_landing_batch(spark_utc, world.landing_dir))
-            )
-        )
+        streamed = spark_utc.read.parquet(piperes["tsdb_root"]).select(*store.POINT_COLUMNS)
+        batch = world.points.select(*store.POINT_COLUMNS)
         assert streamed.count() == batch.count()
-        s_sum = streamed.agg(F.round(F.sum("value"), 2).alias("s")).collect()[0]["s"]
-        b_sum = batch.agg(F.round(F.sum("value"), 2).alias("s")).collect()[0]["s"]
-        assert abs(s_sum - b_sum) < 0.05
+        assert streamed.exceptAll(batch).count() == 0
+        assert batch.exceptAll(streamed).count() == 0
 
     def test_partitioned_by_metric_and_date(self, piperes):
         entries = os.listdir(piperes["tsdb_root"])
@@ -71,14 +60,7 @@ class TestLiveAggregate:
         )
         got = agg.select("bucket", "sensor_id", F.round("value_avg", 4).alias("v"), "n")
         batch_pts = (
-            etl.accepted_points(
-                etl.validate(
-                    etl.parse_messages(
-                        etl.read_landing_batch(spark_utc, world.landing_dir)
-                    )
-                )
-            )
-            .filter(F.col("metric") == "air.co2")
+            world.points.filter(F.col("metric") == "air.co2")
             .select("sensor_id", "ts", "value")
             .toPandas()
         )
