@@ -12,13 +12,13 @@ def test_bench_e7_sweep(benchmark, spark_utc):
     assert t.loc["lowcost_250", "rmse"] < t.loc["official_station", "rmse"]
 
 
-def test_bench_e7_single_idw(benchmark, spark_utc):
+def test_bench_e7_single_idw(benchmark):
     times = density.eval_times()
     tg = density.truth_grid_pdf("trondheim", times)
     obs = density.fleet_observations_pdf("trondheim", 250, times)
 
     def job():
-        return density.score(density.idw_reconstruction(spark_utc, obs, tg))
+        return density.score(density.idw_reconstruction(obs, tg))
 
     s = benchmark.pedantic(job, rounds=2, iterations=1, warmup_rounds=1)
     assert s["rmse"] > 0

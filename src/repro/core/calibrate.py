@@ -22,7 +22,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.harmonize import bucketed
+from repro.core.harmonize import bucketed, pearson
 
 #: Pollutants calibrated against the station.
 CAL_METRICS = ("co2", "no2", "pm10", "pm25")
@@ -71,14 +71,14 @@ def fit_linear(
     """Per-group closed-form OLS of ``y`` on ``x``.
 
     slope = cov(x,y)/var(x); intercept = ȳ − slope·x̄. Returns the
-    grouping columns + slope, intercept, r2, n.
+    grouping columns + slope, intercept, r2, n; a group with constant
+    ``x`` has no fit (NULL slope, intercept and r2).
     """
+    slope = F.try_divide(F.covar_pop(x, y), F.var_pop(x))
     return pairs.groupBy(*by).agg(
-        (F.covar_pop(x, y) / F.var_pop(x)).alias("slope"),
-        (F.avg(y) - (F.covar_pop(x, y) / F.var_pop(x)) * F.avg(x)).alias(
-            "intercept"
-        ),
-        F.pow(F.corr(x, y), 2).alias("r2"),
+        slope.alias("slope"),
+        (F.avg(y) - slope * F.avg(x)).alias("intercept"),
+        F.pow(pearson(x, y), 2).alias("r2"),
         F.count(F.lit(1)).alias("n"),
     )
 
@@ -119,7 +119,7 @@ def accuracy(
         F.avg(err).alias("bias"),
         F.sqrt(F.avg(err * err)).alias("rmse"),
         (100.0 * F.avg(F.abs(err) / F.abs(F.col(truth)))).alias("mape"),
-        F.corr(pred, truth).alias("corr"),
+        pearson(pred, truth).alias("corr"),
         F.count(F.lit(1)).alias("n"),
     )
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.harmonize import bucketed
+from repro.core.harmonize import bucketed, pearson
 
 
 def aligned_series(
@@ -63,7 +63,7 @@ def aligned_series(
 
 def correlation(aligned: DataFrame) -> float:
     """Pearson correlation between the pollutant and the jam factor."""
-    row = aligned.agg(F.corr("value", "jam_factor").alias("r")).collect()[0]
+    row = aligned.agg(pearson("value", "jam_factor").alias("r")).collect()[0]
     return float(row["r"]) if row["r"] is not None else float("nan")
 
 
@@ -72,21 +72,21 @@ def cross_correlation(
 ) -> DataFrame:
     """corr(value(t), jam_factor(t − lag)) for lag ∈ [−max, +max] hours.
 
-    Positive lag = traffic leads the pollutant. Implemented by shifting
-    the traffic series with a self-join on the hourly bucket.
+    Positive lag = traffic leads the pollutant. One plan for all lags:
+    the traffic series is exploded over the lags, shifted by each, and
+    left-joined once onto the pollutant series, so every lag is present
+    (NULL corr where it has fewer than two pairs).
     """
-    left = aligned.select("city", "bucket", "value")
-    right = aligned.select("city", "bucket", "jam_factor")
-    rows = []
-    for lag in range(-max_lag_hours, max_lag_hours + 1):
-        shifted = right.withColumn(
-            "bucket", F.col("bucket") + F.expr(f"INTERVAL {lag} HOURS")
-        )
-        j = left.join(shifted, ["city", "bucket"], "inner")
-        r = j.agg(F.corr("value", "jam_factor").alias("r")).collect()[0]["r"]
-        rows.append((lag, float(r) if r is not None else float("nan")))
-    spark = aligned.sparkSession
-    return spark.createDataFrame(rows, "lag_hours int, corr double")
+    lags = F.sequence(F.lit(-max_lag_hours), F.lit(max_lag_hours))
+    shifted = aligned.select(
+        "city", "bucket", "jam_factor", F.explode(lags).alias("lag_hours")
+    ).withColumn("bucket", F.timestamp_add("HOUR", F.col("lag_hours"), F.col("bucket")))
+    return (
+        shifted.join(aligned.select("city", "bucket", "value"), ["city", "bucket"], "left")
+        .groupBy("lag_hours")
+        .agg(pearson("value", "jam_factor").alias("corr"))
+        .orderBy("lag_hours")
+    )
 
 
 def diurnal_profiles(aligned: DataFrame) -> DataFrame:

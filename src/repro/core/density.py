@@ -19,13 +19,14 @@ reconstruction error against the known ground truth.
   interpolates locally.
 * Metric: RMSE over (cell, hour) against ground truth, and the spatial
   RMSE of the time-averaged field (granularity is about *space*).
+
+The arrays are small (≤ 250 units × 400 cells × 24 hours), so E7 is
+plain numpy, with no Spark in the path.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.external import citygml
 from repro.iot import deployment, field
@@ -135,56 +136,43 @@ def fleet_observations_pdf(
 
 
 def idw_reconstruction(
-    spark: SparkSession,
     observations: pd.DataFrame,
     truth_grid: pd.DataFrame,
     *,
     power: float = 2.0,
-) -> DataFrame:
+) -> pd.DataFrame:
     """IDW-reconstruct the field on the grid and score against truth.
 
-    Spark does the heavy (cell × unit × hour) join: weights
-    w = 1/(d+ε)^p over all units at each instant. Returns per
-    (cell_id, ts): estimate, truth, error.
+    At each instant, a cell's estimate is ``w @ obs / Σw`` over all
+    units, with w = 1/(d+ε)^p. Instants missing from either input are
+    dropped. Returns per (cell_id, ts): truth, estimate, error.
     """
-    obs = spark.createDataFrame(observations)
-    cells = spark.createDataFrame(truth_grid)
-    j = cells.join(obs, "ts").withColumn(
-        "d",
-        F.sqrt(
-            (F.col("x_c") - F.col("x_m")) ** 2 + (F.col("y_c") - F.col("y_m")) ** 2
-        ),
-    )
-    j = j.withColumn("w", 1.0 / F.pow(F.col("d") + IDW_EPS_M, power))
-    est = j.groupBy("cell_id", "ts", "truth").agg(
-        (F.sum(F.col("w") * F.col("obs")) / F.sum("w")).alias("estimate")
-    )
-    return est.withColumn("error", F.col("estimate") - F.col("truth"))
-
-
-def score(recon: DataFrame) -> dict:
-    """RMSE over (cell, hour) + spatial RMSE of the time-mean field."""
-    overall = recon.agg(
-        F.sqrt(F.avg(F.col("error") ** 2)).alias("rmse"),
-        F.avg("error").alias("bias"),
-    ).collect()[0]
-    spatial = (
-        recon.groupBy("cell_id")
-        .agg(
-            (F.avg("estimate") - F.avg("truth")).alias("cell_err"),
+    parts = []
+    for ts, obs in observations.groupby("ts"):
+        cells = truth_grid[truth_grid["ts"] == ts]
+        d = np.hypot(
+            cells["x_c"].to_numpy()[:, None] - obs["x_m"].to_numpy(),
+            cells["y_c"].to_numpy()[:, None] - obs["y_m"].to_numpy(),
         )
-        .agg(F.sqrt(F.avg(F.col("cell_err") ** 2)).alias("srmse"))
-        .collect()[0]
-    )
+        w = 1.0 / (d + IDW_EPS_M) ** power
+        est = w @ obs["obs"].to_numpy() / w.sum(axis=1)
+        parts.append(cells[["cell_id", "ts", "truth"]].assign(estimate=est))
+    rec = pd.concat(parts, ignore_index=True)
+    return rec.assign(error=rec["estimate"] - rec["truth"])
+
+
+def score(recon: pd.DataFrame) -> dict:
+    """RMSE over (cell, hour) + spatial RMSE of the time-mean field."""
+    cell = recon.groupby("cell_id")[["estimate", "truth"]].mean()
     return {
-        "rmse": float(overall["rmse"]),
-        "bias": float(overall["bias"]),
-        "spatial_rmse": float(spatial["srmse"]),
+        "rmse": float(np.sqrt((recon["error"] ** 2).mean())),
+        "bias": float(recon["error"].mean()),
+        "spatial_rmse": float(np.sqrt(((cell["estimate"] - cell["truth"]) ** 2).mean())),
     }
 
 
 def sweep(
-    spark: SparkSession,
+    spark,
     *,
     city: str = "trondheim",
     metric: str = "no2",
@@ -195,37 +183,28 @@ def sweep(
     """The E7 table: one row per scenario (station + each fleet size).
 
     Columns: scenario, n_units, cost_usd, rmse, bias, spatial_rmse.
+    ``spark`` is unused, since E7 runs in numpy; it stays first because
+    the benchmark's analytics workload calls ``sweep(spark, seed=...)``.
     """
     times = eval_times(day=day)
     tg = truth_grid_pdf(city, times, metric=metric, seed=seed)
-    rows = []
-    ref_obs = fleet_observations_pdf(
-        city, 1, times, metric=metric, reference_grade=True, seed=seed
-    )
-    s = score(idw_reconstruction(spark, ref_obs, tg))
-    rows.append(
-        {"scenario": "official_station", "n_units": 1,
-         "cost_usd": STATION_COST_USD, **s}
-    )
-    # Equal-siting control: one low-cost unit at the station site, so
-    # the table separates instrument error (station vs this row) from
-    # spatial-sampling error (this row vs the scattered fleets).
-    colo = fleet_observations_pdf(
-        city, 1, times, metric=metric, at_station=True, seed=seed
-    )
-    s = score(idw_reconstruction(spark, colo, tg))
-    rows.append(
-        {"scenario": "lowcost_1_at_station", "n_units": 1,
-         "cost_usd": SENSOR_COST_USD, **s}
-    )
-    for n in fleet_sizes:
-        obs = fleet_observations_pdf(city, n, times, metric=metric, seed=seed)
-        s = score(idw_reconstruction(spark, obs, tg))
-        rows.append(
-            {"scenario": f"lowcost_{n}", "n_units": n,
-             "cost_usd": n * SENSOR_COST_USD, **s}
-        )
-    out = pd.DataFrame(rows)
+
+    def fleet(n_units: int, **kw) -> pd.DataFrame:
+        return fleet_observations_pdf(city, n_units, times, metric=metric, seed=seed, **kw)
+
+    scenarios = [
+        ("official_station", 1, STATION_COST_USD, fleet(1, reference_grade=True)),
+        # Equal-siting control: one low-cost unit at the station site, so
+        # the table separates instrument error (station vs this row) from
+        # spatial-sampling error (this row vs the scattered fleets).
+        ("lowcost_1_at_station", 1, SENSOR_COST_USD, fleet(1, at_station=True)),
+        *((f"lowcost_{n}", n, n * SENSOR_COST_USD, fleet(n)) for n in fleet_sizes),
+    ]
+    out = pd.DataFrame([
+        {"scenario": name, "n_units": n, "cost_usd": cost,
+         **score(idw_reconstruction(obs, tg))}
+        for name, n, cost, obs in scenarios
+    ])
     for c in ("rmse", "bias", "spatial_rmse"):
         out[c] = out[c].round(3)
     return out

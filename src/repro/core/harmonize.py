@@ -16,13 +16,25 @@ spatial units, row counts) — the measured half of paper Table 1.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 
 def bucketed(df: DataFrame, ts_col: str = "ts", period: str = "1 hour") -> DataFrame:
     """Add a ``bucket`` column: the start of the containing time window."""
     return df.withColumn("bucket", F.window(ts_col, period).getField("start"))
+
+
+def pearson(x: str, y: str) -> Column:
+    """Pearson correlation over the rows where both columns are set.
+
+    NULL when either side is constant: ``F.corr`` raises DIVIDE_BY_ZERO
+    under ANSI mode there, failing every group of the job, not just the
+    flat one.
+    """
+    both = F.col(x).isNotNull() & F.col(y).isNotNull()
+    xs, ys = F.when(both, F.col(x)), F.when(both, F.col(y))
+    return F.try_divide(F.covar_pop(xs, ys), F.stddev_pop(xs) * F.stddev_pop(ys))
 
 
 def sensor_city_series(points: DataFrame, *, period: str = "1 hour") -> DataFrame:

@@ -6,6 +6,7 @@ test, only a traced benchmark run; these tests fail first.
 """
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -42,3 +43,41 @@ def test_world_has_keys_workloads_read(world):
     source = (PERFBENCH / "workloads.py").read_text()
     assert all(f"w.{k}" in source for k in WORLD_KEYS)  # the list is current
     assert [k for k in WORLD_KEYS if k not in world] == []
+
+
+def _repro_calls() -> list:
+    """``(call text, function, n_positional, keyword names)`` for every
+    ``<m>.<fn>(...)`` in ``workloads.py`` where ``<m>`` is a module it
+    imports from ``repro``."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {
+        alias.asname or alias.name: f"{node.module}.{alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "repro"
+        for alias in node.names
+    }
+    return [
+        (
+            ast.unparse(call),
+            getattr(importlib.import_module(modules[call.func.value.id]), call.func.attr),
+            len(call.args),
+            [k.arg for k in call.keywords],
+        )
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id in modules
+    ]
+
+
+def test_analytics_calls_bind():
+    calls = _repro_calls()
+    assert any(text.startswith("density.sweep(") for text, *_ in calls)  # the parse is current
+    unbound = []
+    for text, fn, n_args, kwargs in calls:
+        try:
+            inspect.signature(fn).bind(*[None] * n_args, **dict.fromkeys(kwargs))
+        except TypeError as e:
+            unbound.append(f"{text}: {e}")
+    assert not unbound, f"perfbench calls the program with arguments it no longer takes: {unbound}"

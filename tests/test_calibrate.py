@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core import calibrate
+from repro.core import calibrate, co2_traffic
 from repro.iot import field
 from repro.oracle import assert_equivalent
 
@@ -73,6 +73,25 @@ class TestFit:
 
     def test_r2_high_for_co_located(self, coefs):
         assert coefs.agg(F.min("r2").alias("m")).collect()[0]["m"] > 0.5
+
+    def test_constant_side_gives_null_not_an_error(self, spark_utc):
+        """A flat group has no fit; under ANSI mode a plain division
+        would abort the job for every group, not just the flat one."""
+        pairs = spark_utc.createDataFrame(
+            [("vejle", "co2", 400.0, ref) for ref in (410.0, 420.0, 430.0)]
+            + [("trondheim", "co2", x, 2.0 * x + 1.0) for x in (1.0, 2.0, 3.0, 4.0)],
+            "city string, field string, raw double, ref double",
+        )
+        fit = {r["city"]: r.asDict() for r in calibrate.fit_linear(pairs).collect()}
+        assert fit["vejle"]["slope"] is None and fit["vejle"]["r2"] is None
+        alone = calibrate.fit_linear(pairs.filter("city = 'trondheim'")).first().asDict()
+        assert fit["trondheim"] == alone
+        assert fit["trondheim"]["slope"] == pytest.approx(2.0)
+        assert fit["trondheim"]["r2"] == pytest.approx(1.0)
+        flat = spark_utc.createDataFrame(
+            [(5.0, 1.0), (5.0, 2.0), (5.0, 3.0)], "value double, jam_factor double"
+        )
+        assert np.isnan(co2_traffic.correlation(flat))
 
 
 class TestApplyAndScore:

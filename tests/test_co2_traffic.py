@@ -1,4 +1,6 @@
 """CO2 ↔ traffic study (Fig 5): the paper's headline analytic claim."""
+import duckdb
+import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
@@ -102,6 +104,32 @@ class TestCrossCorrelation:
         cc = co2_traffic.cross_correlation(al_co2, max_lag_hours=1).toPandas()
         r0 = cc[cc["lag_hours"] == 0]["corr"].iloc[0]
         assert abs(r0 - co2_traffic.correlation(al_co2)) < 1e-9
+
+    def test_all_lags_oracle(self, al_co2):
+        """Every lag against DuckDB: positive lag pairs the pollutant at t
+        with traffic at t − lag (traffic leads)."""
+        got = co2_traffic.cross_correlation(al_co2).toPandas()
+        con = duckdb.connect()
+        con.register("al", al_co2.toPandas())
+        want = con.execute(
+            """
+            SELECT l.lag AS lag_hours, corr(a.value, b.jam_factor) AS corr
+            FROM range(-6, 7) AS l(lag)
+            JOIN al a ON TRUE
+            JOIN al b ON a.city = b.city AND a.bucket = b.bucket + to_hours(l.lag)
+            GROUP BY l.lag ORDER BY l.lag
+            """
+        ).fetchdf()
+        con.close()
+        assert list(got["lag_hours"]) == list(want["lag_hours"]) == list(range(-6, 7))
+        np.testing.assert_allclose(got["corr"], want["corr"], rtol=0, atol=1e-9)
+
+    def test_short_series_keeps_every_lag(self, al_co2):
+        two_hours = al_co2.orderBy("bucket").limit(2)
+        cc = co2_traffic.cross_correlation(two_hours, max_lag_hours=3).toPandas()
+        assert list(cc["lag_hours"]) == list(range(-3, 4))
+        # Only lag 0 has two pairs; every other lag has one or none.
+        assert cc[cc["lag_hours"] != 0]["corr"].isna().all()
 
     def test_profiles_normalized(self, al_co2):
         prof = co2_traffic.diurnal_profiles(al_co2).toPandas()

@@ -3,14 +3,14 @@ import numpy as np
 import pytest
 
 from repro.core import density
+from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
-def table(spark_utc):
+def table():
     # Small sweep for tests; the full FLEET_SIZES sweep runs in the bench.
-    return density.sweep(
-        spark_utc, fleet_sizes=(1, 25, 250), day=1, seed=0
-    )
+    # E7 runs in numpy: the session argument is unused.
+    return density.sweep(None, fleet_sizes=(1, 25, 250), day=1, seed=0)
 
 
 class TestObservations:
@@ -40,7 +40,7 @@ class TestObservations:
 
 
 class TestReconstruction:
-    def test_idw_interpolates_exactly_at_unit(self, spark_utc):
+    def test_idw_interpolates_exactly_at_unit(self):
         # One noiseless unit: every cell gets its value; the cell at the
         # unit's location has ~zero error at that instant only if truth
         # is flat — so instead check the estimate equals the obs.
@@ -49,17 +49,39 @@ class TestReconstruction:
         obs = density.fleet_observations_pdf(
             "vejle", 1, times, reference_grade=True
         )
-        rec = density.idw_reconstruction(spark_utc, obs, tg).toPandas()
+        rec = density.idw_reconstruction(obs, tg)
         merged = rec.merge(obs, on="ts")
         np.testing.assert_allclose(merged["estimate"], merged["obs"], rtol=1e-9)
 
-    def test_score_fields(self, spark_utc):
+    def test_score_fields(self):
         times = density.eval_times(hours=3)
         tg = density.truth_grid_pdf("trondheim", times)
         obs = density.fleet_observations_pdf("trondheim", 10, times)
-        s = density.score(density.idw_reconstruction(spark_utc, obs, tg))
+        s = density.score(density.idw_reconstruction(obs, tg))
         assert set(s) == {"rmse", "bias", "spatial_rmse"}
         assert s["rmse"] > 0
+
+    def test_idw_oracle(self):
+        times = density.eval_times(hours=2)
+        tg = density.truth_grid_pdf("vejle", times)
+        obs = density.fleet_observations_pdf("vejle", 10, times)
+        got = density.idw_reconstruction(obs, tg).round(6)
+        assert len(got) == len(tg)
+        assert_equivalent(
+            got,
+            """
+            WITH j AS (
+              SELECT g.cell_id, g.ts, g.truth, o.obs,
+                     1.0 / pow(sqrt(pow(g.x_c - o.x_m, 2) + pow(g.y_c - o.y_m, 2)) + 50, 2) AS w
+              FROM tg g JOIN obs o ON g.ts = o.ts
+            )
+            SELECT cell_id, ts, round(truth, 6) AS truth,
+                   round(sum(w * obs) / sum(w), 6) AS estimate,
+                   round(sum(w * obs) / sum(w) - truth, 6) AS error
+            FROM j GROUP BY cell_id, ts, truth
+            """,
+            tg=tg, obs=obs,
+        )
 
 
 class TestPaperClaim:
