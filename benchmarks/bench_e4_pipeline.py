@@ -2,6 +2,7 @@
 import os
 
 from repro.ingest import stream
+from repro.tsdb import store
 
 
 def test_bench_e4_streaming_ingest(benchmark, spark_utc, bench_world, tmp_path_factory):
@@ -20,7 +21,7 @@ def test_bench_e4_streaming_ingest(benchmark, spark_utc, bench_world, tmp_path_f
             quarantine_dir=os.path.join(work, "quar"),
         )
         assert q.awaitTermination(600)
-        return spark_utc.read.parquet(os.path.join(work, "tsdb")).count()
+        return store.read(spark_utc, os.path.join(work, "tsdb")).count()
 
     n = benchmark.pedantic(job, rounds=2, iterations=1, warmup_rounds=0)
     assert n > 500_000

@@ -16,6 +16,7 @@ from repro.ingest import stream
 from repro.lorawan import network
 from repro.lorawan.network import PAYLOAD_COLS
 from repro.runner import build_world, get_spark, print_table
+from repro.tsdb import store
 
 
 def run(spark, *, sf: float = 0.05, seed: int = 0) -> dict:
@@ -36,7 +37,7 @@ def run(spark, *, sf: float = 0.05, seed: int = 0) -> dict:
     q = stream.start_live_aggregate(spark, w.landing_dir, live_agg, os.path.join(work, "ckpt_agg"))
     assert q.awaitTermination(stream.QUERY_TIMEOUT_S)
     live_agg_s = time.perf_counter() - t0
-    n_pts = spark.read.parquet(tsdb_root).count()
+    n_pts = store.read(spark, tsdb_root).count()
     n_quar = spark.read.parquet(quarantine).count()
     n_live = spark.read.parquet(live_agg).count()
 

@@ -20,6 +20,7 @@ from pyspark.sql import SparkSession
 from repro.ingest import etl, stream
 from repro.iot import deployment, faults, sensor
 from repro.lorawan import mqtt, network
+from repro.tsdb import store
 
 
 def get_spark(app: str) -> SparkSession:
@@ -56,9 +57,10 @@ def build_world(
     Returns a :class:`World` with: readings_pdf, receptions_pdf,
     fault/outage lists, landing_dir, n_landed, uplinks (DataFrame, the
     one parse of the landing zone), points (DataFrame, validated TSDB
-    shape) and quarantined, both exploded from uplinks, and — when
-    ``run_streaming`` — tsdb_root / live_agg_dir written by the
-    Structured Streaming pipeline.
+    shape) and quarantined. Without ``run_streaming`` both are exploded
+    from uplinks; with it, they are read back from the tsdb_root and
+    quarantine_dir the Structured Streaming pipeline wrote, and
+    live_agg_dir is set too.
     """
     spark.conf.set("spark.sql.session.timeZone", "UTC")
     work_dir = work_dir or tempfile.mkdtemp(prefix=f"ctt_sf{sf}_")
@@ -83,13 +85,12 @@ def build_world(
         n_landed=n_landed,
         uplinks=etl.parse_uplinks(etl.read_landing_batch(spark, landing)),
     )
-    validated = etl.validate(etl.explode_points(w.uplinks))
-    w["points"] = etl.accepted_points(validated)
-    w["quarantined"] = etl.quarantined_points(validated)
     if run_streaming:
-        res = stream.run_pipeline(spark, landing, os.path.join(work_dir, "stream"))
-        w.update(res)
-        w["points"] = spark.read.parquet(res["tsdb_root"])
+        w.update(stream.run_pipeline(spark, landing, os.path.join(work_dir, "stream")))
+        w.update(points=store.read(spark, w.tsdb_root), quarantined=spark.read.parquet(w.quarantine_dir))
+    else:
+        validated = etl.validate(etl.explode_points(w.uplinks))
+        w.update(points=etl.accepted_points(validated), quarantined=etl.quarantined_points(validated))
     return w
 
 

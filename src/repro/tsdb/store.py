@@ -1,12 +1,15 @@
-"""Time-series storage over partitioned Parquet.
+"""Time-series storage over Parquet partitioned by metric.
 
 Data model mirrors OpenTSDB: a *data point* is (metric, timestamp,
 value, tags). Tags are the two the CTT system uses throughout —
 ``sensor_id`` and ``city`` — kept as explicit columns (orderable, and
 therefore oracle-checkable; an open map<string,string> column would be
-neither). Files are partitioned by ``metric`` and calendar date so both
-dashboard queries (one metric, recent window) and per-sensor scans
-prune well.
+neither). As OpenTSDB keys rows by metric, then time and tags, the
+store's one partition key is ``metric``: a metric filter prunes
+directories, and ``ts`` bounds are pushed into the Parquet scan, where
+row-group statistics skip what lies outside the window. This module is
+the only code that knows the layout; every reader goes through
+:func:`read`.
 
 A true JVM DataSourceV2 is out of scope in this container (no build
 toolchain); this module is the documented stand-in (DESIGN.md §5).
@@ -32,10 +35,9 @@ def write(points: DataFrame, root: str) -> None:
         raise ValueError(f"points missing columns {missing}")
     (
         points.select(*POINT_COLUMNS)
-        .withColumn("date", F.to_date("ts"))
-        .repartition("metric", "date")
+        .repartition("metric")
         .write.mode("append")
-        .partitionBy("metric", "date")
+        .partitionBy("metric")
         .parquet(root)
     )
 
@@ -50,24 +52,19 @@ def read(
     sensor_id: str | None = None,
     city: str | None = None,
 ) -> DataFrame:
-    """Scan the store with partition-pruning filters.
+    """Scan the store: ``metric`` prunes partitions, the other filters
+    are pushed into the Parquet scan.
 
-    ``start`` is inclusive, ``end`` exclusive. Returns
-    :data:`POINT_COLUMNS`.
+    ``start`` is inclusive, ``end`` exclusive; a time-zone-aware bound
+    is compared as the instant it names. Returns :data:`POINT_COLUMNS`.
     """
     df = spark.read.parquet(root)
     if metric is not None:
         df = df.filter(F.col("metric") == metric)
     if start is not None:
-        ts = pd.Timestamp(start)
-        df = df.filter(F.col("date") >= F.lit(ts.date())).filter(
-            F.col("ts") >= F.lit(ts)
-        )
+        df = df.filter(F.col("ts") >= F.lit(pd.Timestamp(start)))
     if end is not None:
-        ts = pd.Timestamp(end)
-        df = df.filter(F.col("date") <= F.lit(ts.date())).filter(
-            F.col("ts") < F.lit(ts)
-        )
+        df = df.filter(F.col("ts") < F.lit(pd.Timestamp(end)))
     if sensor_id is not None:
         df = df.filter(F.col("sensor_id") == sensor_id)
     if city is not None:

@@ -1,15 +1,18 @@
 """The benchmark's contract with the program.
 
 ``perfbench/`` wraps layer functions by module and name, and reads keys
-of a built world. A rename or removal here would not fail any other
-test, only a traced benchmark run; these tests fail first.
+of a built world; ``jobs/`` and ``benchmarks/`` call the program too. A
+rename or removal here would not fail any other test, only a traced
+benchmark run or an entry point the tests never run; these tests fail
+first.
 """
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 #: World keys perfbench/workloads.py reads from a world built without
 #: the streaming ingest.
@@ -45,39 +48,68 @@ def test_world_has_keys_workloads_read(world):
     assert [k for k in WORLD_KEYS if k not in world] == []
 
 
-def _repro_calls() -> list:
+def _resolve(module: str, name: str):
+    """What ``from <module> import <name>`` binds: a submodule or an attribute."""
+    mod = importlib.import_module(module)
+    return getattr(mod, name) if hasattr(mod, name) else importlib.import_module(f"{module}.{name}")
+
+
+def _repro_calls(path: Path) -> list:
     """``(call text, function, n_positional, keyword names)`` for every
-    ``<m>.<fn>(...)`` in ``workloads.py`` where ``<m>`` is a module it
-    imports from ``repro``."""
-    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
-    modules = {
-        alias.asname or alias.name: f"{node.module}.{alias.name}"
-        for node in tree.body
+    call in ``path`` to a function it imports from ``repro``: bare
+    ``<fn>(...)`` and ``<m>.<fn>(...)`` where ``<m>`` is a ``repro``
+    module. Imports inside function bodies count too."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name: _resolve(node.module, alias.name)
+        for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "repro"
         for alias in node.names
     }
-    return [
-        (
-            ast.unparse(call),
-            getattr(importlib.import_module(modules[call.func.value.id]), call.func.attr),
-            len(call.args),
-            [k.arg for k in call.keywords],
-        )
-        for call in ast.walk(tree)
-        if isinstance(call, ast.Call)
-        and isinstance(call.func, ast.Attribute)
-        and isinstance(call.func.value, ast.Name)
-        and call.func.value.id in modules
-    ]
+    calls = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        if isinstance(func, ast.Name) and callable(imported.get(func.id)):
+            fn = imported[func.id]
+        elif (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and inspect.ismodule(imported.get(func.value.id))
+        ):
+            fn = getattr(imported[func.value.id], func.attr, None)
+        else:
+            continue
+        calls.append((ast.unparse(call), fn, len(call.args), [k.arg for k in call.keywords]))
+    return calls
 
 
-def test_analytics_calls_bind():
-    calls = _repro_calls()
-    assert any(text.startswith("density.sweep(") for text, *_ in calls)  # the parse is current
+def _unbound(calls: list) -> list:
     unbound = []
     for text, fn, n_args, kwargs in calls:
+        if fn is None:
+            unbound.append(f"{text}: no such function")
+            continue
         try:
             inspect.signature(fn).bind(*[None] * n_args, **dict.fromkeys(kwargs))
         except TypeError as e:
             unbound.append(f"{text}: {e}")
+    return unbound
+
+
+def test_analytics_calls_bind():
+    calls = _repro_calls(PERFBENCH / "workloads.py")
+    assert any(text.startswith("density.sweep(") for text, *_ in calls)  # the parse is current
+    unbound = _unbound(calls)
     assert not unbound, f"perfbench calls the program with arguments it no longer takes: {unbound}"
+
+
+def test_job_and_benchmark_calls_bind():
+    """The spark-submit jobs and pytest-benchmark modules, which tier-1 never runs."""
+    files = sorted((ROOT / "jobs").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
+    calls = {f.relative_to(ROOT).as_posix(): _repro_calls(f) for f in files}
+    assert any(text.startswith("build_world(") for text, *_ in calls["jobs/e4_pipeline.py"])
+    assert any(text.startswith("store.read(") for text, *_ in calls["benchmarks/bench_e4_pipeline.py"])
+    unbound = [u for file_calls in calls.values() for u in _unbound(file_calls)]
+    assert not unbound, f"a job or benchmark calls the program with arguments it no longer takes: {unbound}"

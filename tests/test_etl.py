@@ -10,6 +10,7 @@ from repro.ingest import etl
 from repro.lorawan.network import PAYLOAD_COLS
 from repro.oracle import assert_equivalent
 from repro.runner import build_world
+from repro.tsdb import store
 
 
 #: In-range payload: every point of a well-formed message is accepted.
@@ -175,7 +176,7 @@ class TestIngestBatch:
         etl.sink(etl.read_landing_batch(spark_utc, world.landing_dir), root, quarantine)
         accepted = world.points.count()
         assert accepted > 0
-        assert spark_utc.read.parquet(root).count() == accepted
+        assert store.read(spark_utc, root).count() == accepted
         quarantined = spark_utc.read.parquet(quarantine)
         assert quarantined.count() == world.quarantined.count()
         assert quarantined.columns == [

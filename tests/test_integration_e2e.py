@@ -15,7 +15,7 @@ from repro.tsdb import query, store
 
 @pytest.fixture(scope="module")
 def flow(spark_utc, piperes):
-    return {**piperes, "points": spark_utc.read.parquet(piperes["tsdb_root"]).cache()}
+    return {**piperes, "points": store.read(spark_utc, piperes["tsdb_root"]).cache()}
 
 
 class TestCompletenessChain:

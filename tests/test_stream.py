@@ -4,35 +4,51 @@ import os
 from pyspark.sql import functions as F
 
 from repro.ingest import stream
+from repro.lorawan.network import PAYLOAD_COLS
 from repro.oracle import assert_equivalent
+from repro.runner import build_world
 from repro.tsdb import store
 
 
 class TestStreamingIngest:
     def test_tsdb_written(self, spark_utc, piperes):
-        pts = spark_utc.read.parquet(piperes["tsdb_root"])
+        pts = store.read(spark_utc, piperes["tsdb_root"])
         assert pts.count() > 0
 
     def test_streaming_equals_batch(self, spark_utc, world, piperes):
-        streamed = spark_utc.read.parquet(piperes["tsdb_root"]).select(*store.POINT_COLUMNS)
-        batch = world.points.select(*store.POINT_COLUMNS)
+        streamed = store.read(spark_utc, piperes["tsdb_root"])
+        batch = world.points
         assert streamed.count() == batch.count()
         assert streamed.exceptAll(batch).count() == 0
         assert batch.exceptAll(streamed).count() == 0
 
-    def test_partitioned_by_metric_and_date(self, piperes):
-        entries = os.listdir(piperes["tsdb_root"])
-        assert any(e.startswith("metric=") for e in entries)
-        m0 = [e for e in entries if e.startswith("metric=")][0]
-        sub = os.listdir(os.path.join(piperes["tsdb_root"], m0))
-        assert any(e.startswith("date=") for e in sub)
+    def test_read_prunes_metric_and_pushes_ts_bounds(self, spark_utc, piperes, capsys):
+        root = piperes["tsdb_root"]
+        got = store.read(
+            spark_utc, root, metric="air.no2", start="2017-01-01 12:00", end="2017-01-02 12:00"
+        )
+        got.explain()
+        scan = next(line for line in capsys.readouterr().out.splitlines() if "FileScan" in line)
+        partition_filters = scan.split("PartitionFilters: ")[1].split("]")[0]
+        pushed_filters = scan.split("PushedFilters: ")[1].split("]")[0]
+        assert "air.no2" in partition_filters
+        assert "GreaterThanOrEqual(ts,2017-01-01 12:00:00" in pushed_filters
+        assert "LessThan(ts,2017-01-02 12:00:00" in pushed_filters
+        assert_equivalent(
+            got,
+            f"""
+            SELECT * FROM read_parquet('{root}/**/*.parquet', hive_partitioning = true)
+            WHERE metric = 'air.no2'
+              AND ts >= TIMESTAMP '2017-01-01 12:00:00' AND ts < TIMESTAMP '2017-01-02 12:00:00'
+            """,
+        )
 
     def test_quarantine_written(self, spark_utc, piperes, world):
         q = spark_utc.read.parquet(piperes["quarantine_dir"])
         assert q.count() == world.quarantined.count()
 
     def test_checkpoint_makes_rerun_a_noop(self, spark_utc, world, piperes, tmp_path_factory):
-        before = spark_utc.read.parquet(piperes["tsdb_root"]).count()
+        before = store.read(spark_utc, piperes["tsdb_root"]).count()
         q = stream.start_ingest(
             spark_utc,
             world.landing_dir,
@@ -41,8 +57,14 @@ class TestStreamingIngest:
             quarantine_dir=piperes["quarantine_dir"],
         )
         q.awaitTermination(300)
-        after = spark_utc.read.parquet(piperes["tsdb_root"]).count()
+        after = store.read(spark_utc, piperes["tsdb_root"]).count()
         assert after == before  # exactly-once within a checkpoint
+
+
+def test_streaming_world_reads_back_what_ingest_wrote(spark_utc, tmp_path):
+    w = build_world(spark_utc, sf=0.001, work_dir=str(tmp_path), run_streaming=True)
+    assert w.points.columns == store.POINT_COLUMNS
+    assert w.points.count() + w.quarantined.count() == w.n_landed * len(PAYLOAD_COLS)
 
 
 class TestLiveAggregate:

@@ -14,6 +14,17 @@ def root(spark_utc, world, tmp_path_factory):
     return r
 
 
+@pytest.fixture(scope="module")
+def points_pdf(world):
+    return world.points.toPandas()
+
+
+def _naive_utc(bound: str) -> pd.Timestamp:
+    """``bound`` as the naive UTC timestamp the stored ``ts`` is compared in."""
+    ts = pd.Timestamp(bound)
+    return ts.tz_convert("UTC").tz_localize(None) if ts.tzinfo else ts
+
+
 class TestStore:
     def test_round_trip_count(self, spark_utc, world, root):
         assert store.read(spark_utc, root).count() == world.points.count()
@@ -23,15 +34,26 @@ class TestStore:
         want = world.points.filter("metric = 'air.no2'").count()
         assert got == want
 
-    def test_time_range_filter(self, spark_utc, world, root):
-        t0 = pd.Timestamp("2017-01-02")
-        t1 = pd.Timestamp("2017-01-03")
-        got = store.read(spark_utc, root, start=t0, end=t1)
-        assert got.filter((F.col("ts") < F.lit(t0)) | (F.col("ts") >= F.lit(t1))).count() == 0
-        want = world.points.filter(
-            (F.col("ts") >= F.lit(t0)) & (F.col("ts") < F.lit(t1))
-        ).count()
-        assert got.count() == want
+    @pytest.mark.parametrize(
+        "start, end",
+        [
+            ("2017-01-02", "2017-01-03"),
+            # Crosses UTC midnight; start's local date (01-02) is not its UTC date.
+            ("2017-01-02 00:30+01:00", "2017-01-02 06:00+01:00"),
+            # Crosses UTC midnight; end's local date (01-01) is not its UTC date.
+            ("2017-01-01 18:00-05:00", "2017-01-01 23:30-05:00"),
+            ("2017-01-02 00:30+01:00", None),
+            (None, "2017-01-01 23:30-05:00"),
+        ],
+    )
+    def test_time_range_filter(self, spark_utc, points_pdf, root, start, end):
+        got = store.read(spark_utc, root, start=start, end=end)
+        lo, hi = _naive_utc(start or "1970-01-01"), _naive_utc(end or "2100-01-01")
+        assert_equivalent(
+            got,
+            f"SELECT * FROM pts WHERE ts >= TIMESTAMP '{lo}' AND ts < TIMESTAMP '{hi}'",
+            pts=points_pdf,
+        )
 
     def test_tag_filters(self, spark_utc, world, root):
         got = store.read(spark_utc, root, sensor_id="V-00", city="vejle").count()
