@@ -4,67 +4,17 @@ instants.
 The actor-based dataport re-evaluates each twin whenever time advances;
 we reproduce that as a deterministic sweep — every ``eval_every_min``
 minutes each sensor twin's status is recomputed from its packet history
-and *transitions* become alarm events. Implemented with
-``applyInPandas`` per sensor: the per-device sequential walk is exactly
-the state a digital-twin actor would hold.
+and *transitions* become alarm events. The sweep is
+:func:`repro.dataport.twins.timeline`; an alarm is a sensor row whose
+status differs from its ``prev_status``.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.dataport.twins import MISS_FAIL, MISS_WARN
-
-ALARM_SCHEMA = (
-    "sensor_id string, city string, ts timestamp, "
-    "status string, prev_status string, missed_cycles long"
-)
-
-
-def _status(missed: np.ndarray) -> np.ndarray:
-    out = np.full(missed.shape, "OK", dtype=object)
-    out[missed >= MISS_WARN] = "WARN"
-    out[missed >= MISS_FAIL] = "FAILED"
-    return out
-
-
-def _sweep_one(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Status transitions for one sensor's packet history.
-
-    ``pdf`` carries the packets plus broadcast columns _start/_end/_step
-    (the evaluation sweep). For each eval instant the twin knows the
-    last packet at or before it and that packet's declared interval.
-    """
-    pdf = pdf.sort_values("ts")
-    start, end = pdf["_start"].iloc[0], pdf["_end"].iloc[0]
-    step = pd.Timedelta(minutes=int(pdf["_step"].iloc[0]))
-    grid = pd.date_range(start, end, freq=step)
-    pkt_ts = pdf["ts"].to_numpy()
-    idx = np.searchsorted(pkt_ts, grid.to_numpy(), side="right") - 1
-    seen = idx >= 0
-    idx_c = np.clip(idx, 0, None)
-    last_seen = pkt_ts[idx_c]
-    interval_min = pdf["interval_min"].to_numpy()[idx_c].astype("float64")
-    gap_min = (grid.to_numpy() - last_seen) / np.timedelta64(60, "s")
-    missed = np.floor(gap_min / interval_min).astype("int64")
-    missed[~seen] = 0
-    status = _status(missed)
-    status[~seen] = "OK"  # twin not instantiated until first packet
-    prev = np.roll(status, 1)
-    prev[0] = "OK"
-    changed = status != prev
-    return pd.DataFrame(
-        {
-            "sensor_id": pdf["sensor_id"].iloc[0],
-            "city": pdf["city"].iloc[0],
-            "ts": grid[changed],
-            "status": status[changed],
-            "prev_status": prev[changed],
-            "missed_cycles": missed[changed],
-        }
-    )
+from repro.dataport import twins
 
 
 def alarm_events(
@@ -80,14 +30,11 @@ def alarm_events(
     prev_status, missed_cycles. A transition into WARN/FAILED is an
     alarm being raised; back to OK is the alarm clearing.
     """
-    annotated = (
-        uplinks.select("sensor_id", "city", "ts", "interval_min")
-        .withColumn("_start", F.lit(start).cast("timestamp"))
-        .withColumn("_end", F.lit(end).cast("timestamp"))
-        .withColumn("_step", F.lit(eval_every_min))
-    )
-    return annotated.groupBy("sensor_id").applyInPandas(
-        lambda pdf: _sweep_one(pdf), schema=ALARM_SCHEMA
+    tl = twins.timeline(uplinks, start=start, end=end, every_min=eval_every_min)
+    return tl.filter(
+        (F.col("kind") == "sensor") & (F.col("status") != F.col("prev_status"))
+    ).select(
+        F.col("node_id").alias("sensor_id"), "city", "ts", "status", "prev_status", "missed_cycles"
     )
 
 
@@ -108,16 +55,11 @@ def detection_latency(
     latency_cycles (latency ÷ the node's 5-min base interval); NaT/NaN
     when undetected.
     """
-    all_raises = raised(events).select("sensor_id", "ts").toPandas()
+    raises = raised(events).select("sensor_id", F.col("ts").alias("detected_at")).toPandas()
     out = injected.rename(columns={"start": "injected_at"}).copy()
-    detected = []
-    for _, row in out.iterrows():
-        mine = all_raises[
-            (all_raises["sensor_id"] == row["sensor_id"])
-            & (all_raises["ts"] >= row["injected_at"])
-        ]
-        detected.append(mine["ts"].min() if not mine.empty else pd.NaT)
-    out["detected_at"] = detected
+    pairs = out[["sensor_id", "injected_at"]].reset_index(names="_row").merge(raises, on="sensor_id")
+    first = pairs[pairs["detected_at"] >= pairs["injected_at"]].groupby("_row")["detected_at"].min()
+    out["detected_at"] = first.reindex(out.index).astype("datetime64[ns]")
     lat = (out["detected_at"] - out["injected_at"]).dt.total_seconds() / 60.0
     out["latency_min"] = lat
     out["latency_cycles"] = lat / 5.0

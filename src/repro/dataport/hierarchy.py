@@ -5,11 +5,17 @@ can be grouped so that for example a distinction can be drawn between
 sensor failures versus a gateway outage that would make a set of
 sensors invisible."
 
-At an evaluation instant we combine sensor twins and gateway twins:
+At an evaluation instant each FAILED sensor twin consults its
+*primary gateway*'s twin (see :func:`repro.dataport.twins.timeline`,
+which applies the rule at every sweep instant):
 
-* a FAILED sensor whose *primary gateway* is itself FAILED, while most
-  of that gateway's dependents are also failed and the sensor is still
-  heard by no other gateway → classified ``gateway_outage``;
+* the gateway is itself FAILED (silent for ``GATEWAY_SILENCE_MIN``)
+  and at least ``OUTAGE_DEPENDENT_FRACTION`` of its dependents are
+  FAILED → ``gateway_outage``;
+* otherwise, the gateway has heard nothing for one of the sensor's
+  declared intervals → ``pending``: a city-wide outage silences the
+  sensors before the gateway twin's longer silence threshold is
+  reached, so blaming the sensor then would be premature;
 * otherwise → ``sensor_failure``.
 
 "Dependents" of a gateway are sensors for which it is the modal best
@@ -24,12 +30,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.dataport import twins
-
-#: Fraction of a gateway's dependents that must be FAILED to blame the
-#: gateway rather than the individual sensors.
-OUTAGE_DEPENDENT_FRACTION = 0.6
-
-KIND_SENSOR, KIND_GATEWAY = "sensor_failure", "gateway_outage"
+from repro.dataport.twins import KIND_GATEWAY, KIND_PENDING, KIND_SENSOR  # noqa: F401
 
 
 def classify(uplinks: DataFrame, at) -> DataFrame:
@@ -38,37 +39,11 @@ def classify(uplinks: DataFrame, at) -> DataFrame:
     Returns sensor_id, city, primary_gateway, missed_cycles,
     gateway_status, dependents, dependents_failed, failure_kind.
     """
-    st = twins.sensor_twins(uplinks, at)
-    gt = twins.gateway_twins(uplinks, at).select(
-        F.col("gateway_id").alias("primary_gateway"),
-        F.col("status").alias("gateway_status"),
-    )
-    dep = st.groupBy("primary_gateway").agg(
-        F.count(F.lit(1)).alias("dependents"),
-        F.sum(
-            (F.col("status") == twins.STATUS_FAILED).cast("long")
-        ).alias("dependents_failed"),
-    )
-    failed = st.filter(F.col("status") == twins.STATUS_FAILED)
-    joined = failed.join(gt, "primary_gateway", "left").join(
-        dep, "primary_gateway", "left"
-    )
-    is_outage = (
-        (F.col("gateway_status") == twins.STATUS_FAILED)
-        & (
-            F.col("dependents_failed")
-            >= F.col("dependents") * F.lit(OUTAGE_DEPENDENT_FRACTION)
-        )
-    )
-    return joined.select(
-        "sensor_id",
-        "city",
-        "primary_gateway",
-        "missed_cycles",
-        "gateway_status",
-        "dependents",
-        "dependents_failed",
-        F.when(is_outage, KIND_GATEWAY).otherwise(KIND_SENSOR).alias("failure_kind"),
+    return twins.timeline(uplinks, start=at, end=at).filter(
+        (F.col("kind") == "sensor") & (F.col("status") == twins.STATUS_FAILED)
+    ).select(
+        F.col("node_id").alias("sensor_id"), "city", "primary_gateway", "missed_cycles",
+        "gateway_status", "dependents", "dependents_failed", "failure_kind",
     )
 
 

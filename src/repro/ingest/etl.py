@@ -128,15 +128,18 @@ def read_landing_batch(spark: SparkSession, landing_dir: str) -> DataFrame:
     return spark.read.schema(MESSAGE_SCHEMA).json(landing_dir)
 
 
-def sink(raw: DataFrame, tsdb_root: str, quarantine_dir: str) -> None:
+def sink(raw: DataFrame, tsdb_root: str, quarantine_dir: str) -> dict:
     """Landed messages → TSDB: the one sink of streaming and batch ingest.
 
     Accepted points append to the store at ``tsdb_root``, invalid
-    points to the Parquet directory ``quarantine_dir``.
+    points to the Parquet directory ``quarantine_dir``. Returns
+    ``{"accepted": n, "quarantined": m}``, counted before either write.
     """
     validated = validate(explode_points(parse_uplinks(raw))).cache()
     try:
+        counts = {r["valid"]: r["count"] for r in validated.groupBy("valid").count().collect()}
         store.write(accepted_points(validated), tsdb_root)
         quarantined_points(validated).write.mode("append").parquet(quarantine_dir)
     finally:
         validated.unpersist()
+    return {"accepted": counts.get(True, 0), "quarantined": counts.get(False, 0)}

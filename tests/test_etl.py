@@ -173,12 +173,13 @@ class TestUplinksBatch:
 class TestIngestBatch:
     def test_counts_and_store(self, spark_utc, world, tmp_path):
         root, quarantine = str(tmp_path / "tsdb"), str(tmp_path / "quarantine")
-        etl.sink(etl.read_landing_batch(spark_utc, world.landing_dir), root, quarantine)
+        counts = etl.sink(etl.read_landing_batch(spark_utc, world.landing_dir), root, quarantine)
         accepted = world.points.count()
         assert accepted > 0
         assert store.read(spark_utc, root).count() == accepted
         quarantined = spark_utc.read.parquet(quarantine)
         assert quarantined.count() == world.quarantined.count()
+        assert counts == {"accepted": accepted, "quarantined": world.quarantined.count()}
         assert quarantined.columns == [
             "sensor_id", "city", "ts", "f_cnt", "n_gateways", "best_gateway",
             "best_rssi", "field", "value", "metric", "valid",
